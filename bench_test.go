@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/runner"
-	"repro/internal/sim"
 )
 
 // The reduced per-experiment durations live in runner.QuickDuration — one
@@ -172,15 +171,14 @@ func BenchmarkAblationGainNormalization(b *testing.B) { benchExperiment(b, "A05"
 
 // --- The whole suite as a fleet ---
 
-// eSeriesJobs builds one quick-duration job per E-series experiment,
-// running every engine on the given scheduler backend.
-func eSeriesJobs(b *testing.B, sched sim.SchedulerKind) []runner.Job {
+// eSeriesJobs builds one quick-duration job per E-series experiment.
+func eSeriesJobs(b *testing.B) []runner.Job {
 	b.Helper()
 	var jobs []runner.Job
 	exp.Walk(func(d exp.Definition) bool {
 		if strings.HasPrefix(d.ID, "E") {
 			jobs = append(jobs, runner.Job{Def: d, Opts: exp.Options{
-				Quiet: true, Duration: runner.QuickDuration(d.ID), Scheduler: sched}})
+				Quiet: true, Duration: runner.QuickDuration(d.ID)}})
 		}
 		return true
 	})
@@ -197,8 +195,8 @@ func eSeriesJobs(b *testing.B, sched sim.SchedulerKind) []runner.Job {
 // j=4 case finishes the same jobs in a fraction of the sequential wall time,
 // while on a single core both take the same time (the work/wall metric then
 // merely reflects time-slicing, not a win).
-func benchSuite(b *testing.B, workers int, sched sim.SchedulerKind) {
-	jobs := eSeriesJobs(b, sched)
+func benchSuite(b *testing.B, workers int) {
+	jobs := eSeriesJobs(b)
 	fleet := &runner.Fleet{Workers: workers}
 	b.ReportAllocs()
 	var last runner.Stats
@@ -216,17 +214,9 @@ func benchSuite(b *testing.B, workers int, sched sim.SchedulerKind) {
 }
 
 // BenchmarkSuiteSequential is the baseline: the whole E-series on one
-// worker, i.e. what the pre-fleet harness did. Heap scheduler.
-func BenchmarkSuiteSequential(b *testing.B) { benchSuite(b, 1, sim.SchedulerHeap) }
+// worker, i.e. what the pre-fleet harness did.
+func BenchmarkSuiteSequential(b *testing.B) { benchSuite(b, 1) }
 
 // BenchmarkSuiteParallel4 is the fleet at -j 4. Compare its time/op against
 // BenchmarkSuiteSequential for the wall-clock speedup on your hardware.
-func BenchmarkSuiteParallel4(b *testing.B) { benchSuite(b, 4, sim.SchedulerHeap) }
-
-// BenchmarkSuiteSequentialWheel is the sequential E-series on the timer
-// wheel. Results are bit-identical to the heap run (the golden comparison
-// checks this); only cost differs, which is what this measures.
-func BenchmarkSuiteSequentialWheel(b *testing.B) { benchSuite(b, 1, sim.SchedulerWheel) }
-
-// BenchmarkSuiteParallel4Wheel is the -j 4 fleet on the timer wheel.
-func BenchmarkSuiteParallel4Wheel(b *testing.B) { benchSuite(b, 4, sim.SchedulerWheel) }
+func BenchmarkSuiteParallel4(b *testing.B) { benchSuite(b, 4) }

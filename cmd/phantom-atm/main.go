@@ -4,7 +4,7 @@
 // Usage:
 //
 //	phantom-atm -list
-//	phantom-atm -exp E01 [-duration 400ms] [-quiet] [-scheduler wheel]
+//	phantom-atm -exp E01 [-duration 400ms] [-quiet]
 //	phantom-atm -all
 package main
 
@@ -27,7 +27,7 @@ var aliases = map[string]string{
 
 func main() {
 	c := cli.New("phantom-atm",
-		cli.FlagDuration|cli.FlagQuiet|cli.FlagJSON|cli.FlagScheduler|cli.FlagProfile|cli.FlagTelemetry|cli.FlagTrace)
+		cli.FlagDuration|cli.FlagQuiet|cli.FlagJSON|cli.FlagProfile|cli.FlagTelemetry|cli.FlagTrace)
 	list := flag.Bool("list", false, "list available experiments")
 	id := flag.String("exp", "", "experiment ID to run (e.g. E01, or a paper ref like fig3)")
 	all := flag.Bool("all", false, "run every ATM experiment (E01–E08, E14–E17, A01–A03)")

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	phantom-compare [-duration 600ms] [-j N] [-scheduler wheel]
+//	phantom-compare [-duration 600ms] [-j N]
 package main
 
 import (
@@ -19,7 +19,7 @@ import (
 
 func main() {
 	c := cli.New("phantom-compare",
-		cli.FlagDuration|cli.FlagWorkers|cli.FlagScheduler|cli.FlagProfile)
+		cli.FlagDuration|cli.FlagWorkers|cli.FlagProfile)
 	c.Parse()
 
 	jobs := make([]runner.Job, 0, 2)

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	phantom-tcp -list
-//	phantom-tcp -exp E09 [-duration 10s] [-quiet] [-scheduler wheel]
+//	phantom-tcp -exp E09 [-duration 10s] [-quiet]
 //	phantom-tcp -all
 package main
 
@@ -25,7 +25,7 @@ var aliases = map[string]string{
 
 func main() {
 	c := cli.New("phantom-tcp",
-		cli.FlagDuration|cli.FlagQuiet|cli.FlagJSON|cli.FlagScheduler|cli.FlagProfile|cli.FlagTelemetry|cli.FlagTrace)
+		cli.FlagDuration|cli.FlagQuiet|cli.FlagJSON|cli.FlagProfile|cli.FlagTelemetry|cli.FlagTrace)
 	list := flag.Bool("list", false, "list available experiments")
 	id := flag.String("exp", "", "experiment ID to run (e.g. E09, fig14)")
 	all := flag.Bool("all", false, "run every TCP experiment (E09–E13)")

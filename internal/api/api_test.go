@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/runner"
 	"repro/internal/scengen"
-	"repro/internal/sim"
 )
 
 func suiteSpec(filter string) JobSpec {
@@ -33,7 +32,6 @@ func TestValidate(t *testing.T) {
 			s.Kind = KindFuzz
 		}, "without a fuzz payload"},
 		{"unknown kind", func(s *JobSpec) { s.Kind = "bogus" }, "unknown job kind"},
-		{"bad scheduler", func(s *JobSpec) { s.Scheduler = "fifo" }, "scheduler"},
 		{"negative workers", func(s *JobSpec) { s.Workers = -1 }, "workers"},
 		{"negative sweep", func(s *JobSpec) { s.Suite.Sweep = -2 }, "sweep"},
 		{"scenario needs text", func(s *JobSpec) {
@@ -58,6 +56,20 @@ func TestValidate(t *testing.T) {
 				t.Fatalf("Validate() = %v, want error containing %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestRetiredSchedulerKeyIgnored: specs written for schema 3 before the
+// engine had a single calendar may still carry "scheduler"; it decodes like
+// any unknown key and the spec stays valid.
+func TestRetiredSchedulerKeyIgnored(t *testing.T) {
+	var s JobSpec
+	raw := `{"schema_version":3,"kind":"suite","suite":{"filter":"E01"},"scheduler":"heap"}`
+	if err := json.Unmarshal([]byte(raw), &s); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("Validate() = %v, want nil", err)
 	}
 }
 
@@ -131,7 +143,7 @@ func TestExpandScenario(t *testing.T) {
 		Kind:     KindScenario,
 		Scenario: &ScenarioSpec{Text: text, Name: "tiny"},
 	}
-	e, err := Expand(spec, Env{Scheduler: sim.SchedulerHeap})
+	e, err := Expand(spec, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

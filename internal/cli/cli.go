@@ -1,8 +1,8 @@
 // Package cli is the flag surface and output plumbing shared by the
 // phantom-* commands. Each binary declares which of the common flags it
 // supports with a Flags mask; the flags parse into one Common value that
-// converts straight into exp.Options, so a flag added here (like
-// -scheduler) reaches every binary in one place instead of six.
+// converts straight into exp.Options, so a flag added here (like -shards)
+// reaches every binary in one place instead of six.
 package cli
 
 import (
@@ -40,8 +40,6 @@ const (
 	FlagWorkers
 	// FlagQuick registers -quick: the reduced-duration golden profile.
 	FlagQuick
-	// FlagScheduler registers -scheduler: the engine calendar backend.
-	FlagScheduler
 	// FlagProfile registers -cpuprofile and -memprofile: write pprof
 	// profiles of the run for performance work on the cell path.
 	FlagProfile
@@ -91,8 +89,6 @@ type Common struct {
 	Workers int
 	// Quick selects the reduced-duration golden profile.
 	Quick bool
-	// Scheduler is the validated engine backend selected by -scheduler.
-	Scheduler sim.SchedulerKind
 	// Telemetry enables the counter registry for each run.
 	Telemetry bool
 	// TraceDir, when non-empty, is where each run's flight-recorder JSONL
@@ -112,10 +108,9 @@ type Common struct {
 	// Shards is the engine count per scenario (0 or 1 = single-engine).
 	Shards int
 
-	schedulerName string
-	cpuProfile    string
-	memProfile    string
-	cpuFile       *os.File
+	cpuProfile string
+	memProfile string
+	cpuFile    *os.File
 }
 
 // New registers the selected common flags on the default flag set. Call it
@@ -139,10 +134,6 @@ func New(prog string, flags Flags) *Common {
 	}
 	if flags&FlagQuick != 0 {
 		flag.BoolVar(&c.Quick, "quick", false, "use the reduced-duration golden profile")
-	}
-	if flags&FlagScheduler != 0 {
-		flag.StringVar(&c.schedulerName, "scheduler", "",
-			"simulation engine calendar backend: heap or wheel (default heap); results are identical, only run cost differs")
 	}
 	if flags&FlagProfile != 0 {
 		flag.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -181,16 +172,6 @@ func New(prog string, flags Flags) *Common {
 // with a usage error on invalid input.
 func (c *Common) Parse() {
 	flag.Parse()
-	kind, err := sim.ParseScheduler(c.schedulerName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: bad -scheduler: %v\n", c.prog, err)
-		os.Exit(2)
-	}
-	// Keep the zero value when the flag was absent or empty so configs fall
-	// through to the engine default.
-	if c.schedulerName != "" {
-		c.Scheduler = kind
-	}
 	if c.Shards < 0 {
 		fmt.Fprintf(os.Stderr, "%s: bad -shards: must be ≥ 0, got %d\n", c.prog, c.Shards)
 		os.Exit(2)
@@ -239,10 +220,9 @@ func (c *Common) Close() {
 // that execute several experiments keep their counters separated.
 func (c *Common) Options() exp.Options {
 	o := exp.Options{
-		Duration:  sim.Duration(c.Duration),
-		Quiet:     c.Quiet || c.JSON,
-		Scheduler: c.Scheduler,
-		Shards:    c.Shards,
+		Duration: sim.Duration(c.Duration),
+		Quiet:    c.Quiet || c.JSON,
+		Shards:   c.Shards,
 	}
 	if c.Telemetry {
 		o.Telemetry = telemetry.New()

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/exp"
-	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -15,15 +14,14 @@ import (
 // runFleetStore runs every registered experiment through a fleet with the
 // full observability stack (telemetry registries, per-job flight
 // recorders) and, when dir is non-empty, the campaign store attached.
-func runFleetStore(t *testing.T, sched sim.SchedulerKind, workers int, dir string) []Result {
+func runFleetStore(t *testing.T, workers int, dir string) []Result {
 	t.Helper()
 	defs := exp.All()
 	jobs := make([]Job, len(defs))
 	for i, d := range defs {
 		jobs[i] = Job{Def: d, Opts: exp.Options{
-			Quiet:     true,
-			Duration:  shortDuration(d.ID),
-			Scheduler: sched,
+			Quiet:    true,
+			Duration: shortDuration(d.ID),
 		}}
 		if dir != "" {
 			jobs[i].Opts.Trace = trace.New(1 << 10)
@@ -55,58 +53,56 @@ func runFleetStore(t *testing.T, sched sim.SchedulerKind, workers int, dir strin
 }
 
 // TestStoreObservationFree extends the observation-freeness contract to
-// the results store: on both scheduler backends, a fleet persisting every
-// run (summaries, counters, traces) produces summaries bit-identical to a
-// store-less fleet, and the persisted summaries read back bit-identical to
-// the in-memory results.
+// the results store: a fleet persisting every run (summaries, counters,
+// traces) produces summaries bit-identical to a store-less fleet, and the
+// persisted summaries read back bit-identical to the in-memory results.
 func TestStoreObservationFree(t *testing.T) {
 	defs := exp.All()
 	if len(defs) == 0 {
 		t.Fatal("registry is empty")
 	}
-	for _, sched := range []sim.SchedulerKind{sim.SchedulerHeap, sim.SchedulerWheel} {
-		t.Run(string(sched), func(t *testing.T) {
-			off := runFleetStore(t, sched, 4, "")
-			dir := t.TempDir()
-			on := runFleetStore(t, sched, 4, dir)
-			for i := range defs {
-				summariesIdentical(t, defs[i].ID+" store on-vs-off", on[i].Res.Summary, off[i].Res.Summary)
-			}
+	// The subtest is named after the engine's one calendar, a heap.
+	t.Run("heap", func(t *testing.T) {
+		off := runFleetStore(t, 4, "")
+		dir := t.TempDir()
+		on := runFleetStore(t, 4, dir)
+		for i := range defs {
+			summariesIdentical(t, defs[i].ID+" store on-vs-off", on[i].Res.Summary, off[i].Res.Summary)
+		}
 
-			rd, err := store.Open(dir)
-			if err != nil {
-				t.Fatal(err)
+		rd, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var persisted []store.RunSummary
+		if err := rd.Summaries(store.Query{Sweep: store.AnySweep}, func(s store.RunSummary) error {
+			persisted = append(persisted, s)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(persisted) != len(defs) {
+			t.Fatalf("store holds %d run summaries, want %d", len(persisted), len(defs))
+		}
+		for i := range defs {
+			if persisted[i].Experiment != defs[i].ID {
+				t.Fatalf("store run %d is %q, want %q — run order lost", i, persisted[i].Experiment, defs[i].ID)
 			}
-			var persisted []store.RunSummary
-			if err := rd.Summaries(store.Query{Sweep: store.AnySweep}, func(s store.RunSummary) error {
-				persisted = append(persisted, s)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if len(persisted) != len(defs) {
-				t.Fatalf("store holds %d run summaries, want %d", len(persisted), len(defs))
-			}
-			for i := range defs {
-				if persisted[i].Experiment != defs[i].ID {
-					t.Fatalf("store run %d is %q, want %q — run order lost", i, persisted[i].Experiment, defs[i].ID)
-				}
-				summariesIdentical(t, defs[i].ID+" store read-back", persisted[i].Summary, on[i].Res.Summary)
-			}
-			// Counters persisted too (telemetry was on), and every run that
-			// carried a tracer stored events.
-			nCounters := 0
-			if err := rd.Counters(store.Query{Sweep: store.AnySweep}, func(c store.RunCounters) error {
-				nCounters++
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if nCounters != len(defs) {
-				t.Fatalf("store holds %d counter snapshots, want %d", nCounters, len(defs))
-			}
-		})
-	}
+			summariesIdentical(t, defs[i].ID+" store read-back", persisted[i].Summary, on[i].Res.Summary)
+		}
+		// Counters persisted too (telemetry was on), and every run that
+		// carried a tracer stored events.
+		nCounters := 0
+		if err := rd.Counters(store.Query{Sweep: store.AnySweep}, func(c store.RunCounters) error {
+			nCounters++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if nCounters != len(defs) {
+			t.Fatalf("store holds %d counter snapshots, want %d", nCounters, len(defs))
+		}
+	})
 }
 
 // TestStoreWorkerCountByteIdentical pins the campaign determinism
@@ -114,8 +110,8 @@ func TestStoreObservationFree(t *testing.T) {
 // 4-worker fleet leave byte-identical campaign directories.
 func TestStoreWorkerCountByteIdentical(t *testing.T) {
 	dir1, dir4 := t.TempDir(), t.TempDir()
-	runFleetStore(t, sim.SchedulerHeap, 1, dir1)
-	runFleetStore(t, sim.SchedulerHeap, 4, dir4)
+	runFleetStore(t, 1, dir1)
+	runFleetStore(t, 4, dir4)
 
 	read := func(dir string) map[string][]byte {
 		entries, err := os.ReadDir(dir)

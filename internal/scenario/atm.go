@@ -75,10 +75,6 @@ type ATMConfig struct {
 	// and Run folds the engine's event statistics in when it returns.
 	Telemetry *telemetry.Registry
 	Sessions  []ATMSessionSpec
-	// Scheduler selects the engine's calendar backend (heap or wheel);
-	// empty picks the default. The choice never changes results — both
-	// backends honor the same (time, seq) order — only run cost.
-	Scheduler sim.SchedulerKind
 	// Shards splits the chain across N engines synchronized by the
 	// conservative epoch-barrier protocol (DESIGN.md §14); 0 or 1 runs the
 	// classic single engine. Auto-partitioning is contiguous balanced
@@ -211,10 +207,6 @@ func BuildATM(cfg ATMConfig) (*ATMNet, error) {
 		return nil, err
 	}
 
-	sched, err := sim.ParseScheduler(string(cfg.Scheduler))
-	if err != nil {
-		return nil, err
-	}
 	edges := make([]shard.Edge, cfg.Switches-1)
 	for k := range edges {
 		edges[k] = shard.Edge{U: k, V: k + 1, Delay: cfg.TrunkDelay, Name: fmt.Sprintf("F%d", k)}
@@ -224,7 +216,7 @@ func BuildATM(cfg ATMConfig) (*ATMNet, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := newShardPlan(part, edges, sched, cfg.Telemetry, cfg.Trace)
+	plan, err := newShardPlan(part, edges, cfg.Telemetry, cfg.Trace)
 	if err != nil {
 		return nil, err
 	}

@@ -74,8 +74,6 @@ type GraphConfig struct {
 	// Telemetry, if non-nil, receives the scenario's counters.
 	Telemetry *telemetry.Registry
 	Sessions  []GraphSessionSpec
-	// Scheduler selects the engine's calendar backend; empty is the default.
-	Scheduler sim.SchedulerKind
 	// Shards splits the topology across N engines under the conservative
 	// epoch-barrier protocol (DESIGN.md §14); 0 or 1 runs single-engine.
 	// Auto-partitioning is the greedy min-cut over edge delays
@@ -224,10 +222,6 @@ func BuildGraph(cfg GraphConfig) (*GraphNet, error) {
 		return nil, err
 	}
 
-	sched, err := sim.ParseScheduler(string(cfg.Scheduler))
-	if err != nil {
-		return nil, err
-	}
 	sedges := make([]shard.Edge, len(cfg.Edges))
 	for k, ed := range cfg.Edges {
 		sedges[k] = shard.Edge{U: ed.U, V: ed.V, Delay: cfg.EdgeDelay(k), Name: fmt.Sprintf("L%d.%d-%d", k, ed.U, ed.V)}
@@ -237,7 +231,7 @@ func BuildGraph(cfg GraphConfig) (*GraphNet, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := newShardPlan(part, sedges, sched, cfg.Telemetry, cfg.Trace)
+	plan, err := newShardPlan(part, sedges, cfg.Telemetry, cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -502,7 +496,7 @@ func (n *GraphNet) ShardStats() (shard.Stats, bool) {
 }
 
 // FiredTotal returns the total number of events fired across all engines —
-// a scheduler-level fingerprint input that, unlike per-engine counts, is
+// an engine-level fingerprint input that, unlike per-engine counts, is
 // comparable between sharded and single-engine runs only in aggregate trends
 // (cross-shard delivery adds conduit events), so callers wanting
 // shard-invariant fingerprints should hash data-plane metrics instead.

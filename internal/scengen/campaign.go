@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/simconfig"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -24,11 +23,9 @@ type CampaignConfig struct {
 	// bit-identical for every worker count: seeds derive from (family,
 	// index) and findings land at their job's slot.
 	Workers int
-	// Scheduler is the engine backend scenarios run on (default heap).
-	Scheduler sim.SchedulerKind
-	// CrossCheck additionally runs every scenario on the other scheduler
-	// backend and reports a "determinism" violation if any observable
-	// counter differs — the two calendars promise bit-identical order.
+	// CrossCheck re-runs every sharded scenario on a single engine and
+	// reports a "shard-determinism" violation if the data fingerprints
+	// differ (see CrossCheckShards).
 	CrossCheck bool
 	// Minimize shrinks each failing scenario to a minimal reproducer
 	// (costly: the minimizer re-runs candidates many times).
@@ -101,11 +98,6 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	if len(families) == 0 {
 		families = Families()
 	}
-	sched := cfg.Scheduler
-	if sched == sim.SchedulerDefault {
-		sched = sim.SchedulerHeap
-	}
-
 	observeTrace := cfg.TraceDir != "" || cfg.Store != nil || cfg.ObserveTrace
 	ringCap := cfg.TraceRingCap
 	if ringCap <= 0 {
@@ -127,7 +119,7 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 					ID:    "fuzz/" + string(fam),
 					Title: "scenario fuzz: " + string(fam),
 					Run: func(o exp.Options) (*exp.Result, error) {
-						f, err := runOne(fam, i, o.Seed, sched, cfg.CrossCheck, cfg.Minimize,
+						f, err := runOne(fam, i, o.Seed, cfg.CrossCheck, cfg.Minimize,
 							Observe{Telemetry: o.Telemetry, Trace: o.Trace})
 						if err != nil {
 							return nil, err
@@ -228,54 +220,56 @@ func exportTraces(dir string, jobs []runner.Job) error {
 // the scenario held every invariant. The observation sinks attach to the
 // primary run only: the cross-check re-run compares fingerprints, and
 // observation is contractually invisible to those.
-func runOne(fam Family, index int, seed uint64, sched sim.SchedulerKind, crossCheck, minimize bool, obs Observe) (*Finding, error) {
+func runOne(fam Family, index int, seed uint64, crossCheck, minimize bool, obs Observe) (*Finding, error) {
 	spec, text, err := Generate(fam, seed)
 	if err != nil {
 		return nil, err
 	}
-	o, err := RunSpecObserved(spec, sched, obs)
+	o, err := RunSpecObserved(spec, obs)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s[%d] failed to run: %w\n%s", fam, index, err, text)
 	}
 	violations := Check(o)
 
 	if crossCheck {
-		other := sim.SchedulerWheel
-		if sched == sim.SchedulerWheel {
-			other = sim.SchedulerHeap
-		}
-		o2, err := RunSpec(spec, other)
+		v, err := CrossCheckShards(spec, o)
 		if err != nil {
-			return nil, fmt.Errorf("scenario %s[%d] failed on %s: %w", fam, index, other, err)
+			return nil, fmt.Errorf("scenario %s[%d]: %w", fam, index, err)
 		}
-		if o2.Fingerprint != o.Fingerprint {
-			violations = append(violations, Violation{"determinism", fmt.Sprintf(
-				"%s and %s runs disagree:\n  %s\nvs\n  %s", sched, other, o.Fingerprint, o2.Fingerprint)})
-		}
-		if o.Shards > 1 {
-			o3, err := RunSpec(Unsharded(spec), sched)
-			if err != nil {
-				return nil, fmt.Errorf("scenario %s[%d] failed single-engine: %w", fam, index, err)
-			}
-			if o3.DataFingerprint != o.DataFingerprint {
-				violations = append(violations, Violation{"shard-determinism", fmt.Sprintf(
-					"%d-shard and single-engine runs disagree:\n  %s\nvs\n  %s",
-					o.Shards, o.DataFingerprint, o3.DataFingerprint)})
-			}
-		}
+		violations = append(violations, v...)
 	}
 
 	if len(violations) == 0 {
 		return nil, nil
 	}
 	f := &Finding{Family: fam, Index: index, Seed: seed, Text: text, Violations: violations}
-	if minimize && violations[0].Name != "determinism" {
-		min := Minimize(spec, violations[0].Name, sched)
+	if minimize && violations[0].Name != "shard-determinism" {
+		min := Minimize(spec, violations[0].Name)
 		if mt, err := simconfig.Emit(min); err == nil && mt != text {
 			f.Minimized = mt
 		}
 	}
 	return f, nil
+}
+
+// CrossCheckShards is the sharded-vs-single-engine cross-check: when o, the
+// outcome of running spec, came from a sharded run, it re-runs spec on one
+// engine and reports a "shard-determinism" violation if the data
+// fingerprints differ. An unsharded outcome needs no re-run and yields none.
+func CrossCheckShards(spec *simconfig.Spec, o *Outcome) ([]Violation, error) {
+	if o.Shards <= 1 {
+		return nil, nil
+	}
+	single, err := RunSpec(Unsharded(spec))
+	if err != nil {
+		return nil, fmt.Errorf("single-engine run failed: %w", err)
+	}
+	if single.DataFingerprint == o.DataFingerprint {
+		return nil, nil
+	}
+	return []Violation{{"shard-determinism", fmt.Sprintf(
+		"%d-shard and single-engine runs disagree:\n  %s\nvs\n  %s",
+		o.Shards, o.DataFingerprint, single.DataFingerprint)}}, nil
 }
 
 // Unsharded returns a copy of spec with the sharding directives cleared, so

@@ -47,9 +47,10 @@ const (
 	Transient Family = "transient"
 	// ShardedMesh draws large partition-annotated WAN meshes: a Waxman-like
 	// topology with wide propagation delays (so the cut has real lookahead)
-	// plus shards/partition directives, sized for the sharded runtime. Under
-	// -crosscheck every draw is re-run single-engine and the data-plane
-	// fingerprints diffed, fuzzing the sharded-vs-unsharded equality claim.
+	// plus shards/partition directives, sized for the sharded runtime. It is
+	// the family -crosscheck exists for: every draw is re-run single-engine
+	// and the data-plane fingerprints diffed (CrossCheckShards), fuzzing the
+	// sharded-vs-unsharded equality claim.
 	ShardedMesh Family = "shardedmesh"
 )
 
@@ -188,9 +189,9 @@ func genParkingLot(rng *workload.RNG) string {
 
 func genFatTree(rng *workload.RNG) string {
 	var b strings.Builder
-	aggs := 2 + rng.Intn(2)         // aggregation switches
-	leavesPer := 1 + rng.Intn(2)    // leaves per aggregation
-	dur := 150 + 50*rng.Intn(3)     // 150..250ms
+	aggs := 2 + rng.Intn(2)      // aggregation switches
+	leavesPer := 1 + rng.Intn(2) // leaves per aggregation
+	dur := 150 + 50*rng.Intn(3)  // 150..250ms
 	core := 0
 	nodes := 1 + aggs + aggs*leavesPer
 	fmt.Fprintf(&b, "nodes %d\n", nodes)

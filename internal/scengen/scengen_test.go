@@ -64,7 +64,7 @@ func TestFamiliesRunAndCheck(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s[%d]: %v", fam, i, err)
 			}
-			o, err := RunSpec(spec, sim.SchedulerHeap)
+			o, err := RunSpec(spec)
 			if err != nil {
 				t.Fatalf("%s[%d]: run: %v\n%s", fam, i, err, text)
 			}
@@ -97,7 +97,7 @@ func TestKnownBadCaughtMinimizedFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := RunSpec(spec, sim.SchedulerHeap)
+	o, err := RunSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestKnownBadCaughtMinimizedFrozen(t *testing.T) {
 		t.Fatalf("uncontrolled overload not caught; violations: %v", vs)
 	}
 
-	min := Minimize(spec, "queue-bound", sim.SchedulerHeap)
+	min := Minimize(spec, "queue-bound")
 	minText, err := simconfig.Emit(min)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestKnownBadCaughtMinimizedFrozen(t *testing.T) {
 	if min.Duration >= spec.Duration {
 		t.Errorf("minimizer did not shrink duration: %v → %v", spec.Duration, min.Duration)
 	}
-	if !failsWith(min, "queue-bound", sim.SchedulerHeap) {
+	if !failsWith(min, "queue-bound") {
 		t.Fatalf("minimized spec no longer fails:\n%s", minText)
 	}
 
@@ -138,7 +138,7 @@ func TestKnownBadCaughtMinimizedFrozen(t *testing.T) {
 	if len(cases[0].ExpectViolations) == 0 || cases[0].ExpectViolations[0] != "queue-bound" {
 		t.Fatalf("frozen expectations = %v, want [queue-bound]", cases[0].ExpectViolations)
 	}
-	if missing := Replay(&cases[0], sim.SchedulerHeap); len(missing) > 0 {
+	if missing := Replay(&cases[0]); len(missing) > 0 {
 		t.Fatalf("frozen case no longer reproduces: %v", missing)
 	}
 }
@@ -161,7 +161,7 @@ func TestFrozenRegressions(t *testing.T) {
 			t.Errorf("%s: no expect-violation header", c.Path)
 			continue
 		}
-		if missing := Replay(c, sim.SchedulerHeap); len(missing) > 0 {
+		if missing := Replay(c); len(missing) > 0 {
 			t.Errorf("%s (%s): expected violations no longer reproduce: %v",
 				c.Path, c.Origin, missing)
 		}
@@ -195,10 +195,10 @@ func TestCampaignWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestCrossSchedulerFingerprints: one scenario per family, run under heap
-// and wheel, must leave identical fingerprints — the invariant behind the
-// campaign's CrossCheck mode.
-func TestCrossSchedulerFingerprints(t *testing.T) {
+// TestCrossCheckShards: one scenario per family must reproduce its
+// fingerprint on a second run and pass the campaign's CrossCheck (sharded
+// draws re-run single-engine); a doctored sharded outcome must be flagged.
+func TestCrossCheckShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
 	}
@@ -207,17 +207,32 @@ func TestCrossSchedulerFingerprints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oh, err := RunSpec(spec, sim.SchedulerHeap)
+		o1, err := RunSpec(spec)
 		if err != nil {
-			t.Fatalf("%s: heap: %v", fam, err)
+			t.Fatalf("%s: %v", fam, err)
 		}
-		ow, err := RunSpec(spec, sim.SchedulerWheel)
+		o2, err := RunSpec(spec)
 		if err != nil {
-			t.Fatalf("%s: wheel: %v", fam, err)
+			t.Fatalf("%s: %v", fam, err)
 		}
-		if oh.Fingerprint != ow.Fingerprint {
-			t.Errorf("%s: schedulers disagree:\nheap:  %s\nwheel: %s\nscenario:\n%s",
-				fam, oh.Fingerprint, ow.Fingerprint, text)
+		if o1.Fingerprint != o2.Fingerprint {
+			t.Errorf("%s: runs disagree:\n  %s\nvs\n  %s\nscenario:\n%s",
+				fam, o1.Fingerprint, o2.Fingerprint, text)
+		}
+		v, err := CrossCheckShards(spec, o1)
+		if err != nil || len(v) != 0 {
+			t.Errorf("%s: cross-check = %v, %v; want no violation\nscenario:\n%s", fam, v, err, text)
+		}
+		if fam != ShardedMesh {
+			continue
+		}
+		if o1.Shards <= 1 {
+			t.Fatalf("%s draw ran on %d engine(s), want a sharded run", fam, o1.Shards)
+		}
+		doctored := *o1
+		doctored.DataFingerprint += "x"
+		if v, err := CrossCheckShards(spec, &doctored); err != nil || !HoldsFor(v, "shard-determinism") {
+			t.Errorf("%s: doctored outcome not flagged: %v, %v", fam, v, err)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/runner"
+	"repro/internal/store"
 )
 
 // job is one accepted campaign: the expansion plus its live execution
@@ -18,6 +19,11 @@ type job struct {
 	spec     api.JobSpec
 	exp      *api.Expansion
 	storeDir string
+	// store is the job's campaign writer, created at submission (nil
+	// without -data, or when creation failed with storeErr). The worker
+	// that runs the job seals it.
+	store    *store.Writer
+	storeErr error
 	// adopted marks a pre-existing campaign registered at startup: no
 	// expansion, no runs, terminal from birth — only its store answers.
 	adopted bool

@@ -319,6 +319,63 @@ func TestQueryLiveJob(t *testing.T) {
 	}
 }
 
+// TestQueryJustSubmitted reads a job's live summary the moment Submit
+// returns, while it is still queued behind a busy worker or only just
+// started: the campaign must already exist, so the read is a 2xx with at
+// most the one run of a quick job, never a 409. A job cancelled while
+// queued keeps its campaign: sealed, readable and empty.
+func TestQueryJustSubmitted(t *testing.T) {
+	dir := t.TempDir()
+	_, client, _ := newTestServer(t, Config{Dir: dir, JobWorkers: 1})
+	summaryRows := func(id string) int {
+		t.Helper()
+		rows := 0
+		_, err := client.QueryNDJSON(api.PathPrefix+"/jobs/"+id+"/summary",
+			api.QueryValues(store.Query{Sweep: store.AnySweep}),
+			func([]byte) error { rows++; return nil })
+		if err != nil {
+			t.Fatalf("live summary of %s: %v", id, err)
+		}
+		return rows
+	}
+
+	running, err := client.Submit(fuzzSpec(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := summaryRows(running.ID); n > 1 {
+		t.Errorf("just-submitted job %s: %d summary rows, want ≤ 1", running.ID, n)
+	}
+	queued, err := client.Submit(quickSuite("^E01$"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := summaryRows(queued.ID); n > 1 {
+		t.Errorf("queued job %s: %d summary rows, want ≤ 1", queued.ID, n)
+	}
+
+	if _, err := client.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Cancel(running.ID); err != nil {
+		t.Fatal(err)
+	}
+	if n := summaryRows(queued.ID); n != 0 {
+		t.Errorf("queued-canceled job: %d summary rows, want 0", n)
+	}
+	rd, err := store.Open(filepath.Join(dir, queued.ID))
+	if err != nil {
+		t.Fatalf("queued-canceled job's campaign: %v", err)
+	}
+	n := 0
+	if err := rd.Summaries(store.Query{Sweep: store.AnySweep}, func(store.RunSummary) error {
+		n++
+		return nil
+	}); err != nil || n != 0 {
+		t.Errorf("queued-canceled campaign holds %d runs (%v), want an empty campaign", n, err)
+	}
+}
+
 // TestQueryErrors pins the failure shapes: unknown job, bad parameters,
 // storeless daemon.
 func TestQueryErrors(t *testing.T) {

@@ -23,7 +23,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/cli"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -41,8 +40,6 @@ type Config struct {
 	// FleetWorkers is the per-job fleet size when the spec doesn't pick one
 	// (0: GOMAXPROCS).
 	FleetWorkers int
-	// Scheduler is the default engine backend for specs that don't choose.
-	Scheduler sim.SchedulerKind
 	// TraceRingCap caps per-run flight recorders (0: api.TraceRingDefault).
 	TraceRingCap int
 	// Pprof mounts net/http/pprof on the daemon's HTTP surface.
@@ -150,7 +147,12 @@ func (s *Server) runJob(j *job) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if !j.start(cancel) {
-		return // cancelled while queued
+		// Cancelled while queued: close the campaign Submit created. Nothing
+		// was written, so there is no file to seal and Close cannot fail.
+		if j.store != nil {
+			_ = j.store.Close()
+		}
+		return
 	}
 	workers := j.spec.Workers
 	if workers == 0 {
@@ -163,14 +165,10 @@ func (s *Server) runJob(j *job) {
 	}
 	cli.AttachLive(fleet, s.live)
 	var infra string
-	if j.storeDir != "" {
-		sw, err := store.Create(j.storeDir, store.Options{})
-		if err != nil {
-			infra = fmt.Sprintf("store: %v", err)
-		} else {
-			fleet.Store = sw
-		}
+	if j.storeErr != nil {
+		infra = fmt.Sprintf("store: %v", j.storeErr)
 	}
+	fleet.Store = j.store
 	var stats runner.Stats
 	if infra == "" {
 		var results []runner.Result
@@ -198,7 +196,6 @@ func (s *Server) runJob(j *job) {
 // enqueues the job.
 func (s *Server) Submit(spec api.JobSpec) (*job, error) {
 	expn, err := api.Expand(spec, api.Env{
-		Scheduler:    s.cfg.Scheduler,
 		Trace:        s.cfg.Dir != "",
 		TraceRingCap: s.cfg.TraceRingCap,
 	})
@@ -216,13 +213,20 @@ func (s *Server) Submit(spec api.JobSpec) (*job, error) {
 	if s.cfg.Dir != "" {
 		storeDir = filepath.Join(s.cfg.Dir, id)
 	}
-	j := newJob(id, spec, expn, storeDir)
-	select {
-	case s.queue <- j:
-	default:
+	// Only Submit sends, and always under mu, so room seen here is still
+	// there at the send below.
+	if len(s.queue) == cap(s.queue) {
 		s.mu.Unlock()
 		return nil, errQueueFull
 	}
+	j := newJob(id, spec, expn, storeDir)
+	if storeDir != "" {
+		// The campaign exists before the job is visible, so a live query of
+		// a queued or just-started job reads an empty campaign, never a
+		// missing one.
+		j.store, j.storeErr = store.Create(storeDir, store.Options{})
+	}
+	s.queue <- j
 	s.jobs[id] = j
 	s.order = append(s.order, j)
 	s.mu.Unlock()

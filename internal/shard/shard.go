@@ -1,7 +1,7 @@
 // Package shard partitions one topology across several engines and runs
 // them under a conservative parallel-discrete-event protocol (DESIGN.md
 // §14). A Partition maps every node (switch) of the topology to a shard;
-// each shard owns a private sim.Engine (its own sealed scheduler and event
+// each shard owns a private sim.Engine (its own event calendar and cell
 // pool), every component of the node set assigned to it, and both access
 // links of every session terminating there. Links whose endpoints land in
 // different shards are the cut: their propagation delay becomes the

@@ -36,24 +36,20 @@ type Payload struct {
 // pool is warm.
 type TypedHandler func(e *Engine, p Payload)
 
-// event is a scheduled callback. seq breaks ties between events scheduled
-// for the same instant: earlier-scheduled events fire first, which is what
-// makes runs deterministic. Cells are pooled per engine: after an event
-// fires (or a cancelled event is drained) its cell goes back on the free
-// list and gen is bumped so outstanding EventRefs go stale instead of
-// touching the cell's next occupant.
+// event is a scheduled callback. Its firing time and tie-breaking sequence
+// number live in the calendar slot that points at it, not in the cell.
+// Cells are pooled per engine: after an event fires (or a cancelled event
+// is drained) its cell goes back on the free list and gen is bumped so
+// outstanding EventRefs go stale instead of touching the cell's next
+// occupant.
 //
 // Exactly one of fn and tfn is set; tfn carries its argument in payload.
 type event struct {
-	at      Time
-	seq     uint64
 	gen     uint64
 	fn      Handler
 	tfn     TypedHandler
 	payload Payload
 	stopped bool
-	index   int    // position in the heap backend, -1 when popped
-	next    *event // intrusive slot-list link in the wheel backend
 }
 
 // EventRef identifies a scheduled event so it can be cancelled. The zero
@@ -78,23 +74,6 @@ func (r EventRef) Cancel() bool {
 	return true
 }
 
-// Option configures an Engine at construction.
-type Option func(e *Engine)
-
-// WithScheduler selects the calendar backend: SchedulerHeap (the default)
-// or SchedulerWheel. Both honor the exact (time, seq) ordering contract, so
-// a run is bit-identical under either; they differ only in cost. Unknown
-// kinds panic — validate external input with ParseScheduler first.
-func WithScheduler(kind SchedulerKind) Option {
-	if _, err := newScheduler(kind); err != nil {
-		panic(err.Error())
-	}
-	return func(e *Engine) {
-		s, _ := newScheduler(kind)
-		e.sched = s
-	}
-}
-
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; simulations are deterministic precisely because all state
 // transitions happen on one goroutine in event order.
@@ -114,7 +93,7 @@ func WithScheduler(kind SchedulerKind) Option {
 // to the race detector, which CI runs on every test.
 type Engine struct {
 	now      Time
-	sched    Scheduler
+	cal      calendar
 	seq      uint64
 	fired    uint64
 	canceled uint64
@@ -128,24 +107,14 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at zero and an empty calendar.
-// With no options it uses the default (heap) scheduler.
-func NewEngine(opts ...Option) *Engine {
-	e := &Engine{}
-	for _, opt := range opts {
-		opt(e)
-	}
-	if e.sched == nil {
-		e.sched = newHeapScheduler()
-	}
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of events still scheduled (including cancelled
 // events that have not yet been discarded).
-func (e *Engine) Pending() int { return e.sched.Len() }
+func (e *Engine) Pending() int { return len(e.cal) }
 
 // Fired returns the number of events executed so far. Useful for cost
 // accounting in benchmarks.
@@ -159,9 +128,6 @@ func (e *Engine) Scheduled() uint64 { return e.seq }
 // — the gap between Scheduled and Fired that is not still pending.
 func (e *Engine) Canceled() uint64 { return e.canceled }
 
-// SchedulerName reports which calendar backend this engine runs on.
-func (e *Engine) SchedulerName() string { return e.sched.Name() }
-
 // alloc takes a cell from the pool, or makes one when the pool is dry.
 func (e *Engine) alloc() *event {
 	if n := len(e.free); n > 0 {
@@ -170,7 +136,7 @@ func (e *Engine) alloc() *event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &event{index: -1}
+	return &event{}
 }
 
 // recycle expires outstanding refs to ev and returns its cell to the pool.
@@ -182,8 +148,6 @@ func (e *Engine) recycle(ev *event) {
 	ev.tfn = nil
 	ev.payload = Payload{}
 	ev.stopped = false
-	ev.index = -1
-	ev.next = nil
 	e.free = append(e.free, ev)
 }
 
@@ -198,10 +162,8 @@ func (e *Engine) At(t Time, fn Handler) EventRef {
 		panic("sim: nil handler")
 	}
 	ev := e.alloc()
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
-	e.seq++
-	e.sched.schedule(ev)
-	return EventRef{ev: ev, gen: ev.gen}
+	ev.fn = fn
+	return e.schedule(t, ev)
 }
 
 // After schedules fn to run d from now. Negative delays panic via At.
@@ -222,9 +184,15 @@ func (e *Engine) AtFunc(t Time, fn TypedHandler, p Payload) EventRef {
 		panic("sim: nil handler")
 	}
 	ev := e.alloc()
-	ev.at, ev.seq, ev.tfn, ev.payload = t, e.seq, fn, p
+	ev.tfn, ev.payload = fn, p
+	return e.schedule(t, ev)
+}
+
+// schedule files a filled cell in the calendar under the next sequence
+// number.
+func (e *Engine) schedule(t Time, ev *event) EventRef {
+	e.cal.push(slot{at: t, seq: e.seq, ev: ev})
 	e.seq++
-	e.sched.schedule(ev)
 	return EventRef{ev: ev, gen: ev.gen}
 }
 
@@ -243,9 +211,9 @@ func (e *Engine) Every(period Duration, fn Handler) EventRef {
 	}
 	// The ticker reschedules itself through a stable cell so that Cancel on
 	// the original ref stops all future ticks, not just the next one. The
-	// cell never enters the scheduler (each tick is its own pooled event),
+	// cell never enters the calendar (each tick is its own pooled event),
 	// so it is deliberately not pool-allocated: it must outlive every tick.
-	cell := &event{index: -1}
+	cell := &event{}
 	var tick Handler
 	tick = func(en *Engine) {
 		if cell.stopped {
@@ -284,23 +252,20 @@ func (e *Engine) runTo(deadline Time) uint64 {
 	defer e.leave()
 	start := e.fired
 	e.stopped = false
-	for !e.stopped {
-		next := e.sched.next(deadline)
-		if next == nil {
-			break
-		}
-		e.sched.pop()
-		if next.stopped {
+	for !e.stopped && len(e.cal) > 0 && e.cal[0].at <= deadline {
+		s := e.cal.pop()
+		ev := s.ev
+		if ev.stopped {
 			e.canceled++
-			e.recycle(next)
+			e.recycle(ev)
 			continue
 		}
-		e.now = next.at
+		e.now = s.at
 		e.fired++
-		fn, tfn, pl := next.fn, next.tfn, next.payload
+		fn, tfn, pl := ev.fn, ev.tfn, ev.payload
 		// Recycle before firing: the handler is the cell's last user, and
 		// returning it first lets fn's own follow-up schedule reuse it.
-		e.recycle(next)
+		e.recycle(ev)
 		if tfn != nil {
 			tfn(e, pl)
 		} else {

@@ -6,22 +6,16 @@ import (
 	"testing/quick"
 )
 
-// forEachScheduler runs the test body once per calendar backend: every
-// engine behavior must hold under both, or the backends are not actually
-// interchangeable.
-func forEachScheduler(t *testing.T, body func(t *testing.T, newEngine func() *Engine)) {
+// onHeap runs an engine test body as the subtest "heap", named after the
+// engine's one calendar (the inline-key heap in calendar.go).
+func onHeap(t *testing.T, body func(t *testing.T)) {
 	t.Helper()
-	for _, kind := range SchedulerKinds() {
-		kind := kind
-		t.Run(string(kind), func(t *testing.T) {
-			body(t, func() *Engine { return NewEngine(WithScheduler(kind)) })
-		})
-	}
+	t.Run("heap", body)
 }
 
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		var got []int
 		e.At(30, func(*Engine) { got = append(got, 3) })
 		e.At(10, func(*Engine) { got = append(got, 1) })
@@ -40,8 +34,8 @@ func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 }
 
 func TestEngineTieBreakIsInsertionOrder(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		var got []int
 		for i := 0; i < 10; i++ {
 			i := i
@@ -56,22 +50,21 @@ func TestEngineTieBreakIsInsertionOrder(t *testing.T) {
 	})
 }
 
-// TestTieBreakAcrossWheelLevels pins the cross-level seq tie-break: two
-// events for the same instant, the first scheduled far ahead (filed at a
-// coarse wheel level) and the second scheduled at the last moment (filed at
-// level 0), must still fire in insertion order. This is the case a naive
-// wheel gets wrong by popping level 0 without cascading equal-time slots.
-func TestTieBreakAcrossWheelLevels(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+// TestTieBreakAcrossHorizons pins the seq tie-break between events for the
+// same instant scheduled at very different distances: two filed far ahead
+// and one filed at the last moment from a handler must still fire in
+// insertion order.
+func TestTieBreakAcrossHorizons(t *testing.T) {
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		var got []int
 		const target = Time(1 << 20)
-		e.At(target, func(*Engine) { got = append(got, 0) }) // coarse level
+		e.At(target, func(*Engine) { got = append(got, 0) }) // far ahead
 		e.At(target-3, func(en *Engine) {
-			en.At(target, func(*Engine) { got = append(got, 2) }) // level 0
+			en.At(target, func(*Engine) { got = append(got, 2) }) // last moment
 			got = append(got, 1)
 		})
-		e.At(target, func(*Engine) { got = append(got, 3) }) // coarse level
+		e.At(target, func(*Engine) { got = append(got, 3) }) // far ahead
 		e.Run()
 		want := []int{1, 0, 3, 2} // seq order at the shared instant: 0, 3, then 2
 		if len(got) != len(want) {
@@ -86,8 +79,8 @@ func TestTieBreakAcrossWheelLevels(t *testing.T) {
 }
 
 func TestEngineSchedulingFromHandler(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		var trace []Time
 		e.At(10, func(en *Engine) {
 			trace = append(trace, en.Now())
@@ -101,8 +94,8 @@ func TestEngineSchedulingFromHandler(t *testing.T) {
 }
 
 func TestEngineZeroDelaySchedulingFromHandler(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		var trace []int
 		e.At(10, func(en *Engine) {
 			trace = append(trace, 0)
@@ -124,8 +117,8 @@ func TestEngineZeroDelaySchedulingFromHandler(t *testing.T) {
 }
 
 func TestEngineSchedulingInPastPanics(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		e.At(10, func(en *Engine) {
 			defer func() {
 				if recover() == nil {
@@ -147,41 +140,9 @@ func TestEngineNilHandlerPanics(t *testing.T) {
 	NewEngine().At(0, nil)
 }
 
-func TestUnknownSchedulerPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("WithScheduler on an unknown kind did not panic")
-		}
-	}()
-	NewEngine(WithScheduler(SchedulerKind("calendar")))
-}
-
-func TestParseScheduler(t *testing.T) {
-	for name, want := range map[string]SchedulerKind{
-		"": SchedulerHeap, "heap": SchedulerHeap, "wheel": SchedulerWheel,
-	} {
-		got, err := ParseScheduler(name)
-		if err != nil || got != want {
-			t.Errorf("ParseScheduler(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	if _, err := ParseScheduler("splay"); err == nil {
-		t.Error("ParseScheduler accepted an unknown backend")
-	}
-}
-
-func TestSchedulerName(t *testing.T) {
-	if got := NewEngine().SchedulerName(); got != "heap" {
-		t.Errorf("default SchedulerName() = %q, want heap", got)
-	}
-	if got := NewEngine(WithScheduler(SchedulerWheel)).SchedulerName(); got != "wheel" {
-		t.Errorf("wheel SchedulerName() = %q", got)
-	}
-}
-
 func TestEventCancel(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		fired := false
 		ref := e.At(10, func(*Engine) { fired = true })
 		if !ref.Cancel() {
@@ -204,8 +165,8 @@ func TestEventCancel(t *testing.T) {
 // (or a cancelled cell has been drained by a run), its ref is stale and
 // Cancel reports false instead of touching the recycled cell.
 func TestCancelAfterDrain(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		ref := e.At(10, func(*Engine) {})
 		e.Run()
 		if ref.Cancel() {
@@ -225,8 +186,8 @@ func TestCancelAfterDrain(t *testing.T) {
 // ref left over from a fired event must not cancel the unrelated event that
 // reuses its cell.
 func TestStaleRefDoesNotCancelRecycledCell(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		stale := e.At(1, func(*Engine) {})
 		e.RunUntil(5)
 
@@ -244,10 +205,10 @@ func TestStaleRefDoesNotCancelRecycledCell(t *testing.T) {
 }
 
 // TestCancelFromSameInstant cancels an event from another event scheduled
-// for the very same timestamp (earlier seq), under both backends.
+// for the very same timestamp (earlier seq).
 func TestCancelFromSameInstant(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		fired := false
 		var victim EventRef
 		e.At(10, func(*Engine) { victim.Cancel() })
@@ -260,8 +221,8 @@ func TestCancelFromSameInstant(t *testing.T) {
 }
 
 func TestRunUntilAdvancesClockToDeadline(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		e.At(10, func(*Engine) {})
 		e.At(100, func(*Engine) {})
 		n := e.RunUntil(50)
@@ -280,11 +241,11 @@ func TestRunUntilAdvancesClockToDeadline(t *testing.T) {
 
 // TestScheduleBetweenDeadlineAndNextEvent covers the deadline gap: after
 // RunUntil stops short of the next pending event, new events may land in
-// the gap and must still fire in order. (This is the case that forbids a
-// wheel from advancing its cursor past the deadline while peeking.)
+// the gap and must still fire in order, so peeking at the calendar must
+// never consume or advance past the next event.
 func TestScheduleBetweenDeadlineAndNextEvent(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		var trace []Time
 		rec := func(en *Engine) { trace = append(trace, en.Now()) }
 		e.At(1000, rec)
@@ -298,10 +259,10 @@ func TestScheduleBetweenDeadlineAndNextEvent(t *testing.T) {
 }
 
 func TestRunUntilComposes(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
+	onHeap(t, func(t *testing.T) {
 		// Running in two legs must observe exactly the same events as one leg.
 		build := func() (*Engine, *[]Time) {
-			e := newEngine()
+			e := NewEngine()
 			var trace []Time
 			for _, at := range []Time{5, 15, 25, 35} {
 				at := at
@@ -326,8 +287,8 @@ func TestRunUntilComposes(t *testing.T) {
 }
 
 func TestEveryTicksAndCancels(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		var ticks []Time
 		ref := e.Every(10, func(en *Engine) { ticks = append(ticks, en.Now()) })
 		e.RunUntil(45)
@@ -343,8 +304,8 @@ func TestEveryTicksAndCancels(t *testing.T) {
 }
 
 func TestEveryCancelFromWithinTick(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		count := 0
 		var ref EventRef
 		ref = e.Every(10, func(*Engine) {
@@ -364,8 +325,8 @@ func TestEveryCancelFromWithinTick(t *testing.T) {
 // between RunUntil legs: the already-scheduled next tick must be suppressed
 // (it is drained, never fired), and no further ticks may appear.
 func TestEveryCancelBetweenRuns(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		count := 0
 		ref := e.Every(10, func(*Engine) { count++ })
 		e.RunUntil(35) // ticks at 10, 20, 30
@@ -389,8 +350,8 @@ func TestEveryCancelBetweenRuns(t *testing.T) {
 }
 
 func TestStopHaltsRun(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		fired := 0
 		e.At(10, func(en *Engine) { fired++; en.Stop() })
 		e.At(20, func(*Engine) { fired++ })
@@ -407,8 +368,8 @@ func TestStopHaltsRun(t *testing.T) {
 }
 
 func TestFiredCounter(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		for i := 0; i < 7; i++ {
 			e.At(Time(i), func(*Engine) {})
 		}
@@ -422,12 +383,12 @@ func TestFiredCounter(t *testing.T) {
 // Property: for any batch of events with random times, execution order is
 // sorted by time with insertion order breaking ties.
 func TestEventOrderProperty(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
+	onHeap(t, func(t *testing.T) {
 		f := func(times []uint16) bool {
 			if len(times) == 0 {
 				return true
 			}
-			e := newEngine()
+			e := NewEngine()
 			type rec struct {
 				at  Time
 				seq int
@@ -461,10 +422,10 @@ func TestEventOrderProperty(t *testing.T) {
 // Property: interleaving random RunUntil deadlines never changes the set of
 // fired events relative to a single full run.
 func TestRunUntilSplitProperty(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
+	onHeap(t, func(t *testing.T) {
 		f := func(times []uint16, cutsRaw []uint16) bool {
 			run := func(cuts []Time) []Time {
-				e := newEngine()
+				e := NewEngine()
 				var trace []Time
 				for _, raw := range times {
 					at := Time(raw)
@@ -538,8 +499,8 @@ func TestTimeHelpers(t *testing.T) {
 // enforceable half: driving Run or RunUntil from inside an event handler is
 // always a bug and must panic rather than interleave two event loops.
 func TestEngineReentrancyPanics(t *testing.T) {
-	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		panicked := false
 		e.At(1, func(en *Engine) {
 			defer func() {

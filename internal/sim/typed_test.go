@@ -2,20 +2,10 @@ package sim
 
 import "testing"
 
-// forBackends runs the test under both scheduler backends; the typed API
-// must behave identically on each.
-func forBackends(t *testing.T, f func(t *testing.T, e *Engine)) {
-	t.Helper()
-	for _, kind := range []SchedulerKind{SchedulerHeap, SchedulerWheel} {
-		t.Run(string(kind), func(t *testing.T) {
-			f(t, NewEngine(WithScheduler(kind)))
-		})
-	}
-}
-
 // TestTypedPayloadDelivery checks AtFunc hands back the exact payload.
 func TestTypedPayloadDelivery(t *testing.T) {
-	forBackends(t, func(t *testing.T, e *Engine) {
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		type thing struct{ id int }
 		obj := &thing{id: 7}
 		var got Payload
@@ -31,7 +21,8 @@ func TestTypedPayloadDelivery(t *testing.T) {
 // plain events scheduled for the same instant fire in scheduling order,
 // because both draw from the one sequence counter.
 func TestTypedAndPlainShareSeqOrder(t *testing.T) {
-	forBackends(t, func(t *testing.T, e *Engine) {
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		var got []int
 		e.At(10, func(*Engine) { got = append(got, 0) })
 		e.AtFunc(10, func(_ *Engine, p Payload) { got = append(got, int(p.I)) }, Payload{I: 1})
@@ -51,7 +42,8 @@ func TestTypedAndPlainShareSeqOrder(t *testing.T) {
 
 // TestTypedCancel checks typed events honor EventRef.Cancel.
 func TestTypedCancel(t *testing.T) {
-	forBackends(t, func(t *testing.T, e *Engine) {
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		fired := false
 		ref := e.AfterFunc(10, func(*Engine, Payload) { fired = true }, Payload{})
 		if !ref.Cancel() {
@@ -68,7 +60,8 @@ func TestTypedCancel(t *testing.T) {
 // not pin the payload object: the recycled cell reused by a plain event
 // must carry no stale payload into the next typed dispatch.
 func TestTypedPayloadClearedOnRecycle(t *testing.T) {
-	forBackends(t, func(t *testing.T, e *Engine) {
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		obj := &struct{ x int }{}
 		e.AtFunc(1, func(*Engine, Payload) {}, Payload{Obj: obj})
 		e.Run()
@@ -88,7 +81,8 @@ func TestTypedPayloadClearedOnRecycle(t *testing.T) {
 // handler (the data plane's steady state: every transmit schedules the
 // next) and that the engine clock is correct at each dispatch.
 func TestTypedSchedulingFromHandler(t *testing.T) {
-	forBackends(t, func(t *testing.T, e *Engine) {
+	onHeap(t, func(t *testing.T) {
+		e := NewEngine()
 		var times []Time
 		var tick TypedHandler
 		tick = func(en *Engine, p Payload) {
@@ -125,10 +119,11 @@ func TestTypedNilHandlerPanics(t *testing.T) {
 // TestTypedSteadyStateAllocFree pins the tentpole property: once the pool
 // is warm, a self-rescheduling typed event allocates nothing per event.
 func TestTypedSteadyStateAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counting is unreliable under -race")
-	}
-	forBackends(t, func(t *testing.T, e *Engine) {
+	onHeap(t, func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("allocation counting is unreliable under -race")
+		}
+		e := NewEngine()
 		n := 0
 		var tick TypedHandler
 		tick = func(en *Engine, p Payload) {
@@ -137,7 +132,7 @@ func TestTypedSteadyStateAllocFree(t *testing.T) {
 				en.AfterFunc(7, tick, p)
 			}
 		}
-		// Warm up pool and wheel cursor.
+		// Warm up the cell pool and the calendar slice.
 		e.AfterFunc(7, tick, Payload{Obj: e})
 		e.Run()
 		n = 0
